@@ -14,18 +14,23 @@ use std::path::PathBuf;
 /// Fixture: a star spam farm (1..=12 -> 0, backlinked) plus a good pair
 /// with node 14 in the core — small enough to solve instantly, rich
 /// enough to exercise ingest, both PageRank runs, and mass estimation.
-fn fixture() -> (PathBuf, PathBuf) {
+///
+/// Returns the fixture's own directory plus the graph and core paths.
+/// Each test passes its own `tag`, so tests running in parallel never
+/// rewrite a file another one is reading.
+fn fixture(tag: &str) -> (PathBuf, PathBuf, PathBuf) {
     let mut edges: Vec<(u32, u32)> = (1..=12).flat_map(|i| [(i, 0), (0, i)]).collect();
     edges.push((13, 14));
     edges.push((14, 13));
     let g = GraphBuilder::from_edges(15, &edges);
-    let dir = std::env::temp_dir().join("spammass-cli-run-report");
+    let dir =
+        std::env::temp_dir().join(format!("spammass-cli-run-report-{tag}-{}", std::process::id()));
     fs::create_dir_all(&dir).unwrap();
     let graph = dir.join("g.bin");
     fs::write(&graph, io::graph_to_bytes(&g)).unwrap();
     let core = dir.join("core.txt");
     fs::write(&core, "14\n").unwrap();
-    (graph, core)
+    (dir, graph, core)
 }
 
 fn parse(args: &[String]) -> ParsedArgs {
@@ -41,8 +46,8 @@ fn walk(nodes: &[SpanNode], f: &mut impl FnMut(&SpanNode)) {
 
 #[test]
 fn estimate_run_report_round_trips_with_required_sections() {
-    let (graph, core) = fixture();
-    let out = std::env::temp_dir().join("spammass-cli-run-report/report.json");
+    let (dir, graph, core) = fixture("round-trip");
+    let out = dir.join("report.json");
     let argv: Vec<String> = [
         "estimate",
         "--graph",
@@ -99,6 +104,7 @@ fn estimate_run_report_round_trips_with_required_sections() {
     let anomalies = results.get("estimate.anomalies").and_then(Json::as_f64).unwrap();
     assert!(anomalies >= 0.0, "anomaly count is a count: {anomalies}");
     assert!(results.get("estimate.coverage_ratio").and_then(Json::as_f64).is_some());
+    let _ = fs::remove_dir_all(&dir);
 }
 
 fn collect_paths(stage: &Json, out: &mut Vec<String>) {
@@ -114,7 +120,7 @@ fn collect_paths(stage: &Json, out: &mut Vec<String>) {
 
 #[test]
 fn recorder_agrees_and_span_totals_cover_their_children() {
-    let (graph, core) = fixture();
+    let (dir, graph, core) = fixture("recorder");
     let argv: Vec<String> =
         ["estimate", "--graph", graph.to_str().unwrap(), "--core", core.to_str().unwrap()]
             .iter()
@@ -157,11 +163,12 @@ fn recorder_agrees_and_span_totals_cover_their_children() {
 
     // And the report's metrics are the collector's registry, verbatim.
     assert_eq!(report.metrics.len(), collector.metrics_snapshot().len());
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn default_output_is_byte_identical_without_telemetry_flags() {
-    let (graph, core) = fixture();
+    let (dir, graph, core) = fixture("plain");
     let argv: Vec<String> =
         ["estimate", "--graph", graph.to_str().unwrap(), "--core", core.to_str().unwrap()]
             .iter()
@@ -179,4 +186,5 @@ fn default_output_is_byte_identical_without_telemetry_flags() {
 
     // Second plain run: identical bytes (no hidden telemetry state).
     assert_eq!(dispatch(&parse(&argv)).unwrap(), plain);
+    let _ = fs::remove_dir_all(&dir);
 }

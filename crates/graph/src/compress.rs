@@ -661,6 +661,12 @@ impl CompressedImage {
         scratch.rows = entry.rows as usize;
         scratch.offsets.clear();
         scratch.targets.clear();
+        // Sized once per block, so rows append without regrowing. Every
+        // row takes at least one byte, which bounds the offsets even
+        // when the index entry lies; the edge total was checked against
+        // the CRC'd header at open.
+        scratch.offsets.reserve((entry.rows as usize).min(buf.len()) + 1);
+        scratch.targets.reserve(entry.edges as usize);
         scratch.offsets.push(0);
         let mut pos = 0usize;
         for i in 0..entry.rows as usize {

@@ -174,6 +174,55 @@ fn corrupt(field: &'static str, expected: u64, got: u64) -> GraphError {
     GraphError::Corrupted { field, expected, got }
 }
 
+/// Decodes the zigzag offset `raw` relative to `source`. A result below
+/// id 0 saturates to `u64::MAX`, which every range check rejects.
+fn offset_from(source: u32, raw: u64) -> u64 {
+    (source as i64)
+        .checked_add(unzigzag(raw))
+        .filter(|&s| s >= 0)
+        .map(|s| s as u64)
+        .unwrap_or(u64::MAX)
+}
+
+/// Reader over a row's interval section, yielding `(start, len)` pairs.
+/// Overflowing starts saturate to `u64::MAX` (rejected by the caller's
+/// range check), so the same cursor serves the validating pass and the
+/// re-read that merges runs with residuals.
+struct Intervals {
+    pos: usize,
+    left: u64,
+    prev_end: Option<u64>,
+}
+
+impl Intervals {
+    fn new(pos: usize, count: u64) -> Intervals {
+        Intervals { pos, left: count, prev_end: None }
+    }
+
+    #[inline]
+    fn next(
+        &mut self,
+        buf: &[u8],
+        source: u32,
+        degree: u64,
+    ) -> Result<Option<(u64, u64)>, GraphError> {
+        if self.left == 0 {
+            return Ok(None);
+        }
+        self.left -= 1;
+        let raw = read_varint(buf, &mut self.pos)?;
+        let start = match self.prev_end {
+            None => offset_from(source, raw),
+            Some(pe) => pe.checked_add(raw).and_then(|v| v.checked_add(2)).unwrap_or(u64::MAX),
+        };
+        let len = read_varint(buf, &mut self.pos)?
+            .checked_add(MIN_RUN as u64)
+            .ok_or_else(|| corrupt("interval_len", degree, u64::MAX))?;
+        self.prev_end = Some(start.saturating_add(len - 1));
+        Ok(Some((start, len)))
+    }
+}
+
 /// Decodes one adjacency row of `source` from `buf` at `*pos`, appending
 /// its targets (sorted ascending) to `targets` and returning the row's
 /// degree. Validates that the merged interval + residual stream is
@@ -182,6 +231,13 @@ fn corrupt(field: &'static str, expected: u64, got: u64) -> GraphError {
 /// `max_degree` caps the declared degree (callers pass the enclosing
 /// block's edge budget) so a corrupt length byte cannot drive a
 /// multi-gigabyte allocation.
+///
+/// The row makes no heap allocation of its own, and validation runs per
+/// run and per residual rather than per target: the interval section is
+/// validated in one pass (each run's end against `node_count`), then
+/// re-read while merging, each run expanded with a single `extend`.
+/// Runs are strictly increasing and ≥ 2 apart by construction, so order
+/// is only checked where a residual meets a run.
 ///
 /// # Errors
 /// [`GraphError::Corrupted`] on truncation, a degree above `max_degree`
@@ -208,23 +264,10 @@ pub fn decode_row(
     if interval_count > degree / MIN_RUN as u64 {
         return Err(corrupt("interval_count", degree / MIN_RUN as u64, interval_count));
     }
-    // Interval starts/lengths; bounded by degree / MIN_RUN entries.
-    let mut runs: Vec<(u64, u64)> = Vec::with_capacity(interval_count as usize);
+    // Pass 1: validate the interval section without storing it.
+    let mut intervals = Intervals::new(*pos, interval_count);
     let mut covered = 0u64;
-    let mut prev_end: Option<u64> = None;
-    for _ in 0..interval_count {
-        let raw = read_varint(buf, pos)?;
-        let start = match prev_end {
-            None => (source as i64)
-                .checked_add(unzigzag(raw))
-                .filter(|&s| s >= 0)
-                .map(|s| s as u64)
-                .unwrap_or(u64::MAX),
-            Some(pe) => pe.checked_add(raw).and_then(|v| v.checked_add(2)).unwrap_or(u64::MAX),
-        };
-        let len = read_varint(buf, pos)?
-            .checked_add(MIN_RUN as u64)
-            .ok_or_else(|| corrupt("interval_len", degree, u64::MAX))?;
+    while let Some((start, len)) = intervals.next(buf, source, degree)? {
         covered = covered.saturating_add(len);
         if covered > degree {
             return Err(corrupt("interval_len", degree, covered));
@@ -233,55 +276,66 @@ pub fn decode_row(
         if end >= node_count {
             return Err(corrupt("edge_target", node_count, end));
         }
-        runs.push((start, len));
-        prev_end = Some(end);
     }
-    // Merge residuals with the interval stream, validating the combined
-    // order: every emitted target must be strictly above the last.
-    let mut out_prev: Option<u64> = None;
-    let mut emit = |t: u64, targets: &mut Vec<NodeId>| -> Result<(), GraphError> {
-        if t >= node_count {
-            return Err(corrupt("edge_target", node_count, t));
-        }
-        if let Some(p) = out_prev {
-            if t <= p {
-                return Err(corrupt("edge_order", p + 1, t));
-            }
-        }
-        out_prev = Some(t);
-        targets.push(NodeId(t as u32));
-        Ok(())
-    };
-    let mut next_run = 0usize;
+    // Pass 2: re-read the (now trusted) intervals while merging in the
+    // residuals. `last` is the last emitted target.
+    let mut runs = Intervals::new(*pos, interval_count);
+    *pos = intervals.pos;
+    let mut run = runs.next(buf, source, degree)?;
+    let mut last: Option<u64> = None;
     let mut prev_res: Option<u64> = None;
     for _ in 0..degree - covered {
         let raw = read_varint(buf, pos)?;
         let r = match prev_res {
-            None => (source as i64)
-                .checked_add(unzigzag(raw))
-                .filter(|&s| s >= 0)
-                .map(|s| s as u64)
-                .unwrap_or(u64::MAX),
+            None => offset_from(source, raw),
             Some(p) => p.checked_add(raw).and_then(|v| v.checked_add(1)).unwrap_or(u64::MAX),
         };
-        // Flush every interval that starts below this residual; a
-        // residual landing inside one trips the order check.
-        while next_run < runs.len() && runs[next_run].0 < r {
-            let (start, len) = runs[next_run];
-            for t in start..start + len {
-                emit(t, targets)?;
-            }
-            next_run += 1;
+        // Flush every interval that starts below this residual.
+        let mut flushed_end = None;
+        while let Some((start, len)) = run.filter(|&(start, _)| start < r) {
+            push_run(start, len, &mut last, targets)?;
+            flushed_end = last;
+            run = runs.next(buf, source, degree)?;
         }
-        emit(r, targets)?;
+        if r >= node_count {
+            return Err(corrupt("edge_target", node_count, r));
+        }
+        // Residual gaps are ≥ 1, so only a run flushed just now can
+        // reach this residual (one landing inside it).
+        if let Some(end) = flushed_end {
+            if r <= end {
+                return Err(corrupt("edge_order", end + 1, r));
+            }
+        }
+        last = Some(r);
+        targets.push(NodeId(r as u32));
         prev_res = Some(r);
     }
-    for &(start, len) in &runs[next_run..] {
-        for t in start..start + len {
-            emit(t, targets)?;
-        }
+    while let Some((start, len)) = run {
+        push_run(start, len, &mut last, targets)?;
+        run = runs.next(buf, source, degree)?;
     }
     Ok(degree as usize)
+}
+
+/// Appends the validated run `[start, start + len)`, rejecting it when
+/// it does not start above the last emitted target (a preceding
+/// residual inside or past it).
+fn push_run(
+    start: u64,
+    len: u64,
+    last: &mut Option<u64>,
+    targets: &mut Vec<NodeId>,
+) -> Result<(), GraphError> {
+    if let Some(p) = *last {
+        if start <= p {
+            return Err(corrupt("edge_order", p + 1, start));
+        }
+    }
+    // Pass 1 checked the run's end against `node_count`.
+    targets.extend((start..start + len).map(|t| NodeId(t as u32)));
+    *last = Some(start + len - 1);
+    Ok(())
 }
 
 #[cfg(test)]

@@ -13,6 +13,11 @@
 //!   valid image must either load to the identical graph (mutations in
 //!   dead padding) or fail with a typed corruption error; they must
 //!   never panic, hang, or silently return a different graph.
+//! * **decoder equivalence** — the allocation-free row decoder agrees
+//!   with a straightforward per-target reference decoder (kept below as
+//!   a test-only oracle) on valid rows, garbage, and every single-byte
+//!   flip and truncation of valid rows: same targets and cursor on
+//!   success, the same `Corrupted { field, expected, got }` on failure.
 
 use proptest::prelude::*;
 use spammass_graph::varint::{
@@ -224,4 +229,217 @@ fn out_of_range_rows_are_corrupted_errors() {
     let mut pos = 0;
     let err = decode_row(&buf, &mut pos, 3, 100, 1, &mut out).unwrap_err();
     assert!(matches!(err, GraphError::Corrupted { field: "row_degree", .. }), "{err:?}");
+}
+
+// ---------------------------------------------------------------------
+// Reference decoder: the straightforward per-target row decoder the
+// allocation-free `decode_row` replaced. It stores the interval section
+// in a `Vec` and range- and order-checks every emitted target, which
+// makes it slow but obviously correct — the oracle for the
+// differential properties below.
+
+fn unzigzag(v: u64) -> i64 {
+    ((v >> 1) as i64) ^ -((v & 1) as i64)
+}
+
+fn corrupt(field: &'static str, expected: u64, got: u64) -> GraphError {
+    GraphError::Corrupted { field, expected, got }
+}
+
+fn oracle_decode_row(
+    buf: &[u8],
+    pos: &mut usize,
+    source: u32,
+    node_count: u64,
+    max_degree: u64,
+    targets: &mut Vec<NodeId>,
+) -> Result<usize, GraphError> {
+    let degree = read_varint(buf, pos)?;
+    if degree > max_degree {
+        return Err(corrupt("row_degree", max_degree, degree));
+    }
+    if degree == 0 {
+        return Ok(0);
+    }
+    let interval_count = read_varint(buf, pos)?;
+    if interval_count > degree / MIN_RUN as u64 {
+        return Err(corrupt("interval_count", degree / MIN_RUN as u64, interval_count));
+    }
+    // Interval starts/lengths; bounded by degree / MIN_RUN entries.
+    let mut runs: Vec<(u64, u64)> = Vec::with_capacity(interval_count as usize);
+    let mut covered = 0u64;
+    let mut prev_end: Option<u64> = None;
+    for _ in 0..interval_count {
+        let raw = read_varint(buf, pos)?;
+        let start = match prev_end {
+            None => (source as i64)
+                .checked_add(unzigzag(raw))
+                .filter(|&s| s >= 0)
+                .map(|s| s as u64)
+                .unwrap_or(u64::MAX),
+            Some(pe) => pe.checked_add(raw).and_then(|v| v.checked_add(2)).unwrap_or(u64::MAX),
+        };
+        let len = read_varint(buf, pos)?
+            .checked_add(MIN_RUN as u64)
+            .ok_or_else(|| corrupt("interval_len", degree, u64::MAX))?;
+        covered = covered.saturating_add(len);
+        if covered > degree {
+            return Err(corrupt("interval_len", degree, covered));
+        }
+        let end = start.saturating_add(len - 1);
+        if end >= node_count {
+            return Err(corrupt("edge_target", node_count, end));
+        }
+        runs.push((start, len));
+        prev_end = Some(end);
+    }
+    // Merge residuals with the interval stream, validating the combined
+    // order: every emitted target must be strictly above the last.
+    let mut out_prev: Option<u64> = None;
+    let mut emit = |t: u64, targets: &mut Vec<NodeId>| -> Result<(), GraphError> {
+        if t >= node_count {
+            return Err(corrupt("edge_target", node_count, t));
+        }
+        if let Some(p) = out_prev {
+            if t <= p {
+                return Err(corrupt("edge_order", p + 1, t));
+            }
+        }
+        out_prev = Some(t);
+        targets.push(NodeId(t as u32));
+        Ok(())
+    };
+    let mut next_run = 0usize;
+    let mut prev_res: Option<u64> = None;
+    for _ in 0..degree - covered {
+        let raw = read_varint(buf, pos)?;
+        let r = match prev_res {
+            None => (source as i64)
+                .checked_add(unzigzag(raw))
+                .filter(|&s| s >= 0)
+                .map(|s| s as u64)
+                .unwrap_or(u64::MAX),
+            Some(p) => p.checked_add(raw).and_then(|v| v.checked_add(1)).unwrap_or(u64::MAX),
+        };
+        // Flush every interval that starts below this residual; a
+        // residual landing inside one trips the order check.
+        while next_run < runs.len() && runs[next_run].0 < r {
+            let (start, len) = runs[next_run];
+            for t in start..start + len {
+                emit(t, targets)?;
+            }
+            next_run += 1;
+        }
+        emit(r, targets)?;
+        prev_res = Some(r);
+    }
+    for &(start, len) in &runs[next_run..] {
+        for t in start..start + len {
+            emit(t, targets)?;
+        }
+    }
+    Ok(degree as usize)
+}
+
+/// A `Corrupted` error's `(field, expected, got)`; any other variant is
+/// a failure of the codec's error contract.
+fn corrupted_parts(e: &GraphError) -> (&'static str, u64, u64) {
+    match e {
+        GraphError::Corrupted { field, expected, got } => (field, *expected, *got),
+        other => panic!("row decoding must fail with Corrupted, got {other:?}"),
+    }
+}
+
+/// Runs both decoders on the same input and asserts they agree: equal
+/// degree, targets and cursor when the oracle accepts, the identical
+/// `Corrupted` triple when it rejects.
+fn assert_decoders_agree(buf: &[u8], source: u32, node_count: u64, max_degree: u64) {
+    let (mut want_pos, mut want) = (0usize, Vec::new());
+    let oracle = oracle_decode_row(buf, &mut want_pos, source, node_count, max_degree, &mut want);
+    let (mut got_pos, mut got) = (0usize, Vec::new());
+    let fast = decode_row(buf, &mut got_pos, source, node_count, max_degree, &mut got);
+    match (oracle, fast) {
+        (Ok(want_degree), Ok(got_degree)) => {
+            prop_assert_eq!(got_degree, want_degree);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(got_pos, want_pos);
+        }
+        (Err(want_err), Err(got_err)) => {
+            prop_assert_eq!(corrupted_parts(&got_err), corrupted_parts(&want_err));
+        }
+        (want, got) => {
+            panic!("oracle {want:?} but decoder {got:?} on {buf:?}");
+        }
+    }
+}
+
+/// A sorted, duplicate-free row mixing runs (some shorter than
+/// `MIN_RUN`) with scattered targets, so intervals and residuals
+/// interleave on both sides of the source.
+fn arb_mixed_row() -> impl Strategy<Value = (u32, Vec<NodeId>)> {
+    (
+        0u32..2_000,
+        proptest::collection::vec((0u32..2_000, 1u32..12), 0..6),
+        proptest::collection::vec(0u32..2_000, 0..12),
+    )
+        .prop_map(|(source, runs, scattered)| {
+            let mut targets = scattered;
+            for (start, len) in runs {
+                targets.extend(start..start + len);
+            }
+            targets.sort_unstable();
+            targets.dedup();
+            (source, targets.into_iter().map(NodeId).collect())
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn decoder_matches_oracle_on_garbage(
+        bytes in proptest::collection::vec(0u8..=255, 0..48),
+        source in 0u32..2_000,
+        node_count in 0u64..4_000,
+        max_degree in 0u64..64,
+    ) {
+        assert_decoders_agree(&bytes, source, node_count, max_degree);
+    }
+
+    #[test]
+    fn decoder_matches_oracle_on_valid_rows((source, row) in arb_mixed_row()) {
+        let mut buf = Vec::new();
+        encode_row(&mut buf, source, &row);
+        assert_decoders_agree(&buf, source, 2_012, row.len() as u64);
+        // A node count cutting through the row trips the range checks.
+        let cut = row.get(row.len() / 2).map_or(0, |t| t.0 as u64);
+        assert_decoders_agree(&buf, source, cut, row.len() as u64);
+    }
+
+    #[test]
+    fn decoder_matches_oracle_on_every_byte_flip(
+        (source, row) in arb_mixed_row(),
+        xor in 1u8..=255,
+    ) {
+        let mut buf = Vec::new();
+        encode_row(&mut buf, source, &row);
+        let max_degree = row.len() as u64 + 8;
+        for at in 0..buf.len() {
+            // The chosen mask plus every single-bit flip of this byte.
+            for mask in std::iter::once(xor).chain((0..8).map(|b| 1u8 << b)) {
+                let mut flipped = buf.clone();
+                flipped[at] ^= mask;
+                assert_decoders_agree(&flipped, source, 2_012, max_degree);
+            }
+        }
+    }
+
+    #[test]
+    fn decoder_matches_oracle_on_every_truncation((source, row) in arb_mixed_row()) {
+        let mut buf = Vec::new();
+        encode_row(&mut buf, source, &row);
+        for keep in 0..buf.len() {
+            assert_decoders_agree(&buf[..keep], source, 2_012, row.len() as u64);
+        }
+    }
 }

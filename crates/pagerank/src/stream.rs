@@ -125,22 +125,17 @@ pub fn solve_batch_streamed(
     span.record("resident_budget_bytes", max_resident_bytes as f64);
     let encoded_before = image.encoded_bytes_read();
 
-    // One streaming pass over the out-blocks builds the damping
-    // coefficients — the only out-orientation state a sweep needs.
+    // One streaming pass over the out-blocks yields the out-degrees —
+    // the only out-orientation state a sweep needs. They become the
+    // damping coefficients here and are dropped before any score matrix
+    // is allocated, so the transient never raises the solve's peak.
     let c = config.damping;
-    let mut coef = vec![0.0f64; n];
-    {
-        let mut scratch = BlockScratch::default();
-        for idx in 0..image.block_count(Orientation::Out) {
-            image.decode_block(Orientation::Out, idx, &mut scratch).map_err(corruption)?;
-            for i in 0..scratch.rows {
-                let d = (scratch.offsets[i + 1] - scratch.offsets[i]) as f64;
-                if d > 0.0 {
-                    coef[scratch.first_row + i] = c / d;
-                }
-            }
-        }
-    }
+    let coef: Vec<f64> = image
+        .stream_out_degrees()
+        .map_err(corruption)?
+        .into_iter()
+        .map(|d| if d > 0 { c / d as f64 } else { 0.0 })
+        .collect();
 
     let mut results = Vec::with_capacity(k);
     let mut blocks_decoded = 0u64;

@@ -1,69 +1,22 @@
-//! Allocation accounting for the pooled solvers.
+//! Allocation accounting for the pooled fused parallel solver.
 //!
-//! The fused parallel kernel and the batched solver hoist every buffer
-//! (score ping-pong pair, coefficient table, partition, per-chunk
-//! residual slots, scratch, residual-history sample storage) out of the
-//! iteration loop, so after setup the sweep loop performs **zero heap
-//! allocations**. This harness pins that with a counting global
-//! allocator: two solves differing only in iteration count must allocate
-//! exactly the same number of times — any per-iteration allocation would
-//! scale with the count and break the equality.
+//! The fused parallel kernel hoists every buffer (score ping-pong pair,
+//! coefficient table, partition, per-chunk residual slots, scratch,
+//! residual-history sample storage) out of the iteration loop, so after
+//! setup the sweep loop performs **zero heap allocations**. This harness
+//! pins that with a counting global allocator: two solves differing only
+//! in iteration count must allocate exactly the same number of times —
+//! any per-iteration allocation would scale with the count and break the
+//! equality. The batched and streamed solvers carry the same check in
+//! their own binaries (`alloc_batch.rs`, `alloc_stream.rs`), because the
+//! counter is process-global.
 
-use spammass_graph::{GraphBuilder, NodeId};
+mod counting_alloc;
+
+use counting_alloc::{allocations_during, test_graph};
 use spammass_pagerank::{
-    batch::solve_batch, parallel::solve_parallel_jacobi, JumpVector, PageRankConfig, PageRankError,
+    parallel::solve_parallel_jacobi, JumpVector, PageRankConfig, PageRankError,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAllocator = CountingAllocator;
-
-fn allocations_during<T>(f: impl FnOnce() -> T) -> (usize, T) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let out = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
-}
-
-/// A graph big enough to engage the threaded path (n ≥ 2·MIN_CHUNK).
-fn test_graph() -> spammass_graph::Graph {
-    let n: u32 = 40_000;
-    let mut b = GraphBuilder::with_capacity(n as usize, 3 * n as usize);
-    // Deterministic pseudo-random edges without pulling in a RNG (keeps
-    // allocation behavior identical across runs).
-    let mut state = 0x2545F4914F6CDD1Du64;
-    for _ in 0..(3 * n) {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        let f = (state >> 32) as u32 % n;
-        let t = state as u32 % n;
-        if f != t {
-            b.add_edge(NodeId(f), NodeId(t));
-        }
-    }
-    b.build()
-}
 
 /// Runs a capped solve and returns its allocation count. The cap makes
 /// the iteration count exact (tolerance is unreachably tight), so the
@@ -79,37 +32,14 @@ fn capped_solve_allocations(graph: &spammass_graph::Graph, iterations: usize) ->
     allocations
 }
 
-fn capped_batch_allocations(graph: &spammass_graph::Graph, iterations: usize) -> usize {
-    let config = PageRankConfig::default().threads(2).max_iterations(iterations).tolerance(1e-300);
-    let jumps = [
-        JumpVector::Uniform,
-        JumpVector::core((0..1000).map(NodeId).collect(), graph.node_count()),
-    ];
-    let (allocations, result) = allocations_during(|| solve_batch(graph, &jumps, &config));
-    assert!(result.is_err(), "capped batch must not converge");
-    allocations
-}
-
 #[test]
 fn parallel_solver_does_not_allocate_per_iteration() {
-    let graph = test_graph();
+    let graph = test_graph(0);
     // Warm up: first run pays one-time costs (thread-local telemetry
     // probes, lazy runtime state).
     let _ = capped_solve_allocations(&graph, 4);
     let short = capped_solve_allocations(&graph, 8);
     let long = capped_solve_allocations(&graph, 64);
-    assert_eq!(
-        short, long,
-        "allocation count must not scale with iterations: {short} for 8 sweeps vs {long} for 64"
-    );
-}
-
-#[test]
-fn batch_solver_does_not_allocate_per_iteration() {
-    let graph = test_graph();
-    let _ = capped_batch_allocations(&graph, 4);
-    let short = capped_batch_allocations(&graph, 8);
-    let long = capped_batch_allocations(&graph, 64);
     assert_eq!(
         short, long,
         "allocation count must not scale with iterations: {short} for 8 sweeps vs {long} for 64"

@@ -238,8 +238,12 @@ mod tests {
     }
 
     fn snapshot() -> Snapshot {
-        let dir =
-            std::env::temp_dir().join(format!("spammass-serve-service-{}", std::process::id()));
+        // One directory per call: tests run in parallel and each removes
+        // its directory when done.
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir()
+            .join(format!("spammass-serve-service-{}-{call}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let g = GraphBuilder::from_edges(4, &[(1, 0), (2, 0), (2, 3)]);
         let state = StateDir::new(&dir);

@@ -73,6 +73,13 @@ for key in '"bits_per_edge"' '"compression_ratio"' '"v3_bytes"' '"v4_bytes"' \
 done
 rm -f "$SCALE_SMOKE"
 
+echo "== benchmark harness: perfbench tests =="
+# perfbench is a package of its own that links the library crates
+# directly (the traced run calls `CompressedImage::decode_block`), so an
+# API change that breaks the benchmark fails here, not at benchmark time.
+cargo test --release --manifest-path perfbench/Cargo.toml
+python3 perfbench/test_run.py
+
 echo "== unsafe hygiene: every unsafe block in mmap/storage carries a SAFETY comment =="
 # The zero-copy loader is the only part of the workspace allowed to use
 # `unsafe`; each block must justify itself inline.
