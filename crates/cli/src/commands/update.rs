@@ -31,7 +31,6 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         "threads",
         "edges-per-thread",
         "kernel",
-        "batch",
         "lenient",
         "trace",
         "metrics-out",
@@ -59,8 +58,6 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         Some(v) => v.parse().map_err(CliError::Usage)?,
         None => spammass_pagerank::KernelKind::Auto,
     };
-    let batched: bool = args.parsed_or("batch", true)?;
-
     let data = std::fs::read(journal_path)?;
     let (batches, journal_report) = read_journal_with(&data, &opts)?;
     let records: Vec<DeltaRecord> = batches.into_iter().flatten().collect();
@@ -89,14 +86,12 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         journal_path.display()
     );
 
-    let config = EstimatorConfig::scaled(gamma)
-        .with_pagerank(
-            spammass_pagerank::PageRankConfig::default()
-                .threads(threads)
-                .edges_per_thread(edges_per_thread)
-                .kernel(kernel),
-        )
-        .with_batching(batched);
+    let config = EstimatorConfig::scaled(gamma).with_pagerank(
+        spammass_pagerank::PageRankConfig::default()
+            .threads(threads)
+            .edges_per_thread(edges_per_thread)
+            .kernel(kernel),
+    );
     let detector = DetectorConfig { rho, tau };
     let report = MassEstimator::new(config).update(saved, &records, &detector)?;
     let generation = state.save(
@@ -286,6 +281,25 @@ mod tests {
         assert!(matches!(run(&args), Err(CliError::Usage(_))));
         let args = parse(&["update", "--state", "/nonexistent-state"]);
         assert!(matches!(run(&args), Err(CliError::Usage(_))));
+    }
+
+    #[test]
+    fn batch_flag_is_a_usage_error() {
+        // The warm update always solves both columns together; `--batch`
+        // belongs to `estimate` only.
+        let args = parse(&[
+            "update",
+            "--journal",
+            "/nonexistent.journal",
+            "--state",
+            "/nonexistent-state",
+            "--batch",
+            "false",
+        ]);
+        match run(&args) {
+            Err(CliError::Usage(msg)) => assert!(msg.contains("batch"), "{msg}"),
+            other => panic!("expected a usage error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -111,7 +111,7 @@ USAGE:
   spammass pagerank --graph FILE [--solver jacobi|gauss-seidel|power|parallel] [--damping C] [--top K] [--threads T] [--kernel auto|scalar|unrolled4] [--order degree|bfs|none] [--labels FILE] [--fallback true] [--lenient N]
   spammass estimate --graph FILE --core FILE [--labels FILE] [--gamma G] [--out FILE] [--state DIR] [--threads T] [--batch false] [--order degree|bfs|none] [--lenient N]
   spammass detect   --graph FILE --core FILE [--labels FILE] [--gamma G] [--rho R] [--tau T] [--top K] [--order degree|bfs|none] [--lenient N]
-  spammass update   --journal FILE --state DIR [--labels FILE] [--gamma G] [--rho R] [--tau T] [--top K] [--threads T] [--lenient N]
+  spammass update   --journal FILE --state DIR [--labels FILE] [--gamma G] [--rho R] [--tau T] [--top K] [--threads T] [--edges-per-thread N] [--kernel auto|scalar|unrolled4] [--lenient N]
   spammass serve    --state DIR [--addr A] [--journal FILE] [--poll-ms MS] [--gamma G] [--rho R] [--tau T] [--damping C] [--threads T] [--max-seconds S]
   spammass fsck     --state DIR [--journal FILE] [--repair true]
   spammass bench-diff --old FILE --new FILE [--threshold PCT] [--report-only true]
@@ -132,7 +132,8 @@ USAGE:
                     (each attempt is reported)
   --threads T       worker threads for the parallel and batched solvers and
                     for sharded text ingest (0 = all cores; small graphs and
-                    files run single-threaded anyway)
+                    files run single-threaded anyway); update's warm
+                    Gauss–Seidel re-solve runs on one thread regardless
   --edges-per-thread N
                     per-worker edge quota for the pool auto-sizer (0 = the
                     built-in default); lower it to force multi-worker solves

@@ -23,7 +23,9 @@
 //! independent [`solve_parallel_jacobi`] run — the property-test suite
 //! pins this. Sub-threshold graphs route each column through the serial
 //! scatter solver, exactly as the single-RHS solver does, preserving the
-//! same identity on the serial path.
+//! same identity on the serial path. The exception is a warm (seeded)
+//! solve, which runs the fused Gauss–Seidel sweep instead (see
+//! [`solve_batch_warm`]).
 //!
 //! Error semantics match the strict single-RHS solvers: any column
 //! tripping its guard (divergence, NaN poisoning) or the shared
@@ -67,6 +69,14 @@ pub fn solve_batch(
 /// [`solve_jacobi_dense_warm`](crate::jacobi::solve_jacobi_dense_warm)),
 /// only the iteration count — the incremental estimator re-solves `p`
 /// and `p′` from their previous fixed points after a graph delta.
+///
+/// A seeded solve runs the fused K-column Gauss–Seidel sweep
+/// ([`crate::gauss_seidel`]) on one thread instead of Jacobi: Jacobi
+/// contracts the error by at most `c` per sweep from any start, so a
+/// warm start only saves `log(e₀/ε)/log(1/c)` sweeps, while in-place
+/// sweeps propagate the correction within a sweep and need about half
+/// as many. The columns then agree with a cold solve to the solve
+/// tolerance, not bit-for-bit, and `config.threads` does not apply.
 ///
 /// # Errors
 /// Same contract as [`solve_batch`], plus
@@ -160,8 +170,9 @@ pub fn solve_batch_dense_warm(
 /// Widest batch a single fused traversal carries; see [`solve_batch_dense`].
 const MAX_FUSED_COLUMNS: usize = 4;
 
-/// Routes a validated `K`-column chunk (`1 ≤ K ≤ 4`, `n > 0`) through
-/// the shared engine — or, below the sizing thresholds, through the
+/// Routes a validated `K`-column chunk (`1 ≤ K ≤ 4`, `n > 0`). A warm
+/// solve runs the fused Gauss–Seidel sweep; a cold one runs through the
+/// shared Jacobi engine — or, below the sizing thresholds, through the
 /// serial scatter solver column by column (matching the single-RHS
 /// solver's serial path bit-for-bit).
 fn solve_batch_fixed<const K: usize>(
@@ -171,30 +182,25 @@ fn solve_batch_fixed<const K: usize>(
     config: &PageRankConfig,
 ) -> Result<Vec<PageRankResult>, PageRankError> {
     debug_assert_eq!(vs.len(), K);
+    let varr: [&[f64]; K] = std::array::from_fn(|j| &vs[j][..]);
+    if let Some(inits) = initial {
+        let iarr: [&[f64]; K] = std::array::from_fn(|j| &inits[j][..]);
+        return crate::gauss_seidel::solve_gauss_seidel_fixed::<K>(
+            graph,
+            varr,
+            Some(iarr),
+            config,
+            "pagerank.solve.gauss_seidel_warm",
+        );
+    }
     let path = crate::parallel::solve_path(config, graph);
     if path.serial {
-        let mut results = Vec::with_capacity(K);
-        for (j, v) in vs.iter().enumerate() {
-            let init = initial.map(|inits| &inits[j][..]);
-            results.push(crate::jacobi::solve_jacobi_dense_warm(graph, v, init, config)?);
-        }
-        return Ok(results);
+        return vs.iter().map(|v| crate::jacobi::solve_jacobi_dense(graph, v, config)).collect();
     }
-    let mut varr: [&[f64]; K] = [&[]; K];
-    for (slot, v) in varr.iter_mut().zip(vs) {
-        *slot = v;
-    }
-    let iarr = initial.map(|inits| {
-        let mut arr: [&[f64]; K] = [&[]; K];
-        for (slot, p0) in arr.iter_mut().zip(inits) {
-            *slot = p0;
-        }
-        arr
-    });
     crate::engine::solve_pooled::<K>(
         graph,
         varr,
-        iarr,
+        None,
         config,
         path.threads,
         "pagerank.solve.batch",

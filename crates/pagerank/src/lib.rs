@@ -27,7 +27,7 @@
 //! | Solver | Module | Notes |
 //! |---|---|---|
 //! | Jacobi | [`jacobi`] | Algorithm 1 of the paper, verbatim |
-//! | Gauss–Seidel | [`gauss_seidel`] | in-place sweeps, usually ~2× fewer iterations |
+//! | Gauss–Seidel | [`gauss_seidel`] | in-place K-column sweeps, usually ~2× fewer iterations; the warm re-solve |
 //! | Parallel Jacobi | [`parallel`] | fused gather on a persistent pool, edge-balanced chunks |
 //! | Batched Jacobi | [`batch`] | k jump vectors through one CSR traversal per sweep |
 //! | Power iteration | [`power`] | eigenvector formulation on `T″`, for cross-validation |

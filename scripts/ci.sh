@@ -124,8 +124,8 @@ grep -q 'evolution journal written' "$SMOKE_DIR/generate.out" \
   --core "$SMOKE_DIR/evo-core.txt" --state "$SMOKE_DIR/state" > /dev/null
 ./target/release/spammass update --journal "$SMOKE_DIR/evo.journal" \
   --state "$SMOKE_DIR/state" > "$SMOKE_DIR/update.out"
-for key in 'delta applied' 'warm solve' 'newly flagged' 'newly cleared' \
-    'top mass shifts' 'state saved'; do
+for key in 'delta applied' 'warm solve: gauss-seidel-warm' 'newly flagged' \
+    'newly cleared' 'top mass shifts' 'state saved'; do
   grep -q "$key" "$SMOKE_DIR/update.out" \
     || { echo "update report missing '$key'"; cat "$SMOKE_DIR/update.out"; exit 1; }
 done
